@@ -24,7 +24,10 @@ shrink regions — soundness (the true position stays inside) is preserved,
 which the test suite verifies against simulated ground truth.
 
 Distance fields from device centers are cached in :class:`TopologyChecker`;
-a deployment is small and static, so the cache converges quickly.
+a deployment is small and static, so the cache converges quickly.  Each
+field is also the memo key of its distances to a static sample grid (see
+:class:`~repro.geometry.samples.Samples`), so a constraint evaluated on a
+POI's grid looks its distances up instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ...geometry import Mbr, Point, Region
+from ...geometry import Mbr, Point, Region, Samples
 from ...indoor.devices import Device
 from ...indoor.distance import IndoorDistanceOracle, PointDistanceField
 
@@ -75,10 +78,8 @@ class ReachabilityConstraint(Region):
     def contains(self, point: Point) -> bool:
         return self.field.distance_to(point) - self.radius <= self.budget + 1e-9
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
-        distances = self.field.distances_to_many(xs, ys)
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
+        distances = self.field.distances_to_many(samples)
         result: "NDArray[np.bool_]" = (
             distances - self.radius <= self.budget + 1e-9
         )
@@ -126,16 +127,14 @@ class PathReachabilityConstraint(Region):
         )
         return total <= self.budget + 1e-9
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
         if self._mbr is None:
-            return np.zeros(len(xs), dtype=bool)
+            return np.zeros(len(samples), dtype=bool)
         part_a = np.maximum(
-            self.field_a.distances_to_many(xs, ys) - self.radius_a, 0.0
+            self.field_a.distances_to_many(samples) - self.radius_a, 0.0
         )
         part_b = np.maximum(
-            self.field_b.distances_to_many(xs, ys) - self.radius_b, 0.0
+            self.field_b.distances_to_many(samples) - self.radius_b, 0.0
         )
         result: "NDArray[np.bool_]" = part_a + part_b <= self.budget + 1e-9
         return result

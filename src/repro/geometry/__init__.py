@@ -31,6 +31,7 @@ from .region import (
     union_all,
 )
 from .ring import Ring
+from .samples import SAMPLE_MEMO_BYTES, SampleMemo, Samples
 from .segment import Segment
 
 __all__ = [
@@ -48,6 +49,9 @@ __all__ = [
     "RegionIntersection",
     "RegionUnion",
     "Ring",
+    "SAMPLE_MEMO_BYTES",
+    "SampleMemo",
+    "Samples",
     "Segment",
     "floats_equal",
     "grid_points",

@@ -23,6 +23,7 @@ from ..analysis.contracts import check_area, check_presence
 from .mbr import Mbr
 from .polygon import Polygon
 from .region import Region
+from .samples import Samples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
@@ -107,7 +108,7 @@ def polygon_grid_points(
     representative sample with the polygon's own area as weight.
     """
     xs, ys, cell_area = grid_points(polygon.mbr, resolution)
-    inside = polygon.contains_many(xs, ys)
+    inside = polygon.contains_many(Samples.of(xs, ys))
     if not inside.any():
         centroid = polygon.centroid()
         return (
@@ -126,7 +127,7 @@ def region_area(region: Region, resolution: int = DEFAULT_RESOLUTION) -> float:
     xs, ys, cell_area = grid_points(mbr, resolution)
     if near_zero(cell_area):
         return 0.0
-    inside = region.contains_many(xs, ys)
+    inside = region.contains_many(Samples.of(xs, ys))
     return check_area(float(inside.sum()) * cell_area)
 
 
@@ -144,7 +145,7 @@ def intersection_fraction(
     if mbr is None or not mbr.intersects(polygon.mbr):
         return 0.0
     xs, ys, _ = polygon_grid_points(polygon, resolution)
-    inside = region.contains_many(xs, ys)
+    inside = region.contains_many(Samples.of(xs, ys))
     return check_presence(
         float(inside.sum()) / float(len(xs)), where="intersection_fraction"
     )

@@ -17,6 +17,7 @@ import numpy as np
 from .mbr import Mbr
 from .point import EPSILON, Point
 from .region import Region
+from .samples import Samples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
@@ -49,13 +50,12 @@ class Circle(Region):
     def contains(self, point: Point) -> bool:
         return self.center.distance_to(point) <= self.radius + EPSILON
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
-        dx = xs - self.center.x
-        dy = ys - self.center.y
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
         limit = self.radius + EPSILON
-        return dx * dx + dy * dy <= limit * limit
+        result: "NDArray[np.bool_]" = (
+            samples.squared_distances(self.center) <= limit * limit
+        )
+        return result
 
     def distance_to_point(self, point: Point) -> float:
         """Distance from ``point`` to the disk (0 when inside).

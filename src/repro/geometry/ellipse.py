@@ -31,6 +31,7 @@ from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
 from .region import Region, RegionDifference, RegionUnion
+from .samples import Samples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
@@ -99,13 +100,11 @@ class ExtendedEllipse(Region):
         )
         return total <= self.path_budget + EPSILON
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
         if self._mbr is None:
-            return np.zeros(len(xs), dtype=bool)
-        dist_a = np.hypot(xs - self.focus_a.center.x, ys - self.focus_a.center.y)
-        dist_b = np.hypot(xs - self.focus_b.center.x, ys - self.focus_b.center.y)
+            return np.zeros(len(samples), dtype=bool)
+        dist_a = samples.distances(self.focus_a.center)
+        dist_b = samples.distances(self.focus_b.center)
         total = np.maximum(dist_a - self.focus_a.radius, 0.0) + np.maximum(
             dist_b - self.focus_b.radius, 0.0
         )

@@ -18,6 +18,7 @@ import numpy as np
 from .mbr import Mbr
 from .point import EPSILON, Point
 from .region import Region
+from .samples import Samples
 from .segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -201,11 +202,8 @@ class Polygon(Region):
             j = i
         return inside
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
+        xs, ys = samples.xs, samples.ys
         inside = np.zeros(len(xs), dtype=bool)
         count = len(self.vertices)
         j = count - 1

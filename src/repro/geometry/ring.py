@@ -19,6 +19,7 @@ from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
 from .region import Region
+from .samples import Samples
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
@@ -74,12 +75,8 @@ class Ring(Region):
             <= self.outer_radius + EPSILON
         )
 
-    def contains_many(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> "NDArray[np.bool_]":
-        dx = xs - self.center.x
-        dy = ys - self.center.y
-        squared = dx * dx + dy * dy
+    def contains_many(self, samples: Samples) -> "NDArray[np.bool_]":
+        squared = samples.squared_distances(self.center)
         low = max(self.inner_radius - EPSILON, 0.0)
         high = self.outer_radius + EPSILON
         return (squared >= low * low) & (squared <= high * high)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..geometry import Mbr, Region, grid_points, near_zero
+from ..geometry import Mbr, Region, Samples, grid_points, near_zero
 from ..indoor.devices import Deployment
 from ..indoor.floorplan import FloorPlan
 from ..indoor.poi import Poi
@@ -158,7 +158,7 @@ class SvgCanvas:
         if clipped is None or near_zero(clipped.area()):
             return self
         xs, ys, _ = grid_points(clipped, resolution)
-        inside = region.contains_many(xs, ys)
+        inside = region.contains_many(Samples.of(xs, ys))
         if not inside.any():
             return self
         step_x = clipped.width / max(1, len(np.unique(xs)))

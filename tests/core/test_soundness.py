@@ -18,6 +18,7 @@ from repro.core import (
     snapshot_contexts,
     snapshot_region,
 )
+from repro.geometry import Samples
 
 
 def probe_times(dataset, count=7):
@@ -94,8 +95,9 @@ class TestTopologyCheckOnlyTightens:
                 continue
             xs = rng.uniform(box.min_x, box.max_x, 80)
             ys = rng.uniform(box.min_y, box.max_y, 80)
-            checked_mask = checked.contains_many(xs, ys)
-            unchecked_mask = unchecked.contains_many(xs, ys)
+            samples = Samples.of(xs, ys)
+            checked_mask = checked.contains_many(samples)
+            unchecked_mask = unchecked.contains_many(samples)
             # checked ⊆ unchecked
             assert not (checked_mask & ~unchecked_mask).any()
 

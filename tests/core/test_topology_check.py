@@ -17,7 +17,7 @@ from repro.core import (
     ReachabilityConstraint,
     TopologyChecker,
 )
-from repro.geometry import Point, Polygon
+from repro.geometry import Point, Polygon, Samples
 from repro.indoor import (
     Deployment,
     Device,
@@ -79,7 +79,7 @@ class TestReachabilityConstraint:
         rng = np.random.default_rng(1)
         xs = rng.uniform(0, 20, 100)
         ys = rng.uniform(0, 10, 100)
-        vector = constraint.contains_many(xs, ys)
+        vector = constraint.contains_many(Samples.of(xs, ys))
         for x, y, v in zip(xs, ys, vector):
             assert v == constraint.contains(Point(float(x), float(y)))
 

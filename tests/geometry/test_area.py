@@ -12,6 +12,7 @@ from repro.geometry import (
     Mbr,
     Point,
     Polygon,
+    Samples,
     floats_equal,
     grid_points,
     intersection_fraction,
@@ -55,7 +56,7 @@ class TestPolygonGridPoints:
     def test_all_points_inside_polygon(self):
         shape = Polygon.rectangle(0, 0, 4, 4)
         xs, ys, _ = polygon_grid_points(shape, resolution=8)
-        assert shape.contains_many(xs, ys).all()
+        assert shape.contains_many(Samples.of(xs, ys)).all()
 
     def test_tiny_polygon_falls_back_to_centroid(self):
         sliver = Polygon(

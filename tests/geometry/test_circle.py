@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Circle, Point, region_area
+from repro.geometry import Circle, Point, Samples, region_area
 
 coordinate = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -38,7 +38,7 @@ class TestBasics:
         c = Circle(Point(0.5, -0.5), 2.0)
         xs = np.linspace(-3, 3, 25)
         ys = np.linspace(-3, 3, 25)
-        vector = c.contains_many(xs, ys)
+        vector = c.contains_many(Samples.of(xs, ys))
         scalar = [c.contains(Point(x, y)) for x, y in zip(xs, ys)]
         assert list(vector) == scalar
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Circle, ExtendedEllipse, Point, region_area
+from repro.geometry import Circle, ExtendedEllipse, Point, Samples, region_area
 
 coordinate = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -89,7 +89,7 @@ class TestCircularFoci:
         xs = np.linspace(e.mbr.min_x - 5, e.mbr.max_x + 5, 60)
         ys = np.linspace(e.mbr.min_y - 5, e.mbr.max_y + 5, 60)
         grid_x, grid_y = np.meshgrid(xs, ys)
-        inside = e.contains_many(grid_x.ravel(), grid_y.ravel())
+        inside = e.contains_many(Samples.of(grid_x.ravel(), grid_y.ravel()))
         for x, y in zip(grid_x.ravel()[inside], grid_y.ravel()[inside]):
             assert e.mbr.contains_point(Point(x, y), tolerance=1e-6)
 
@@ -97,7 +97,7 @@ class TestCircularFoci:
         e = ExtendedEllipse(Circle(Point(0, 0), 1.5), Circle(Point(8, 2), 1.0), 10.0)
         xs = np.linspace(-5, 12, 35)
         ys = np.linspace(-5, 8, 35)
-        vector = e.contains_many(xs, ys)
+        vector = e.contains_many(Samples.of(xs, ys))
         scalar = [e.contains(Point(x, y)) for x, y in zip(xs, ys)]
         assert list(vector) == scalar
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Mbr, Point, Polygon
+from repro.geometry import Mbr, Point, Polygon, Samples
 
 
 def l_shape() -> Polygon:
@@ -110,7 +110,7 @@ class TestContainment:
         rng = np.random.default_rng(5)
         xs = rng.uniform(-0.5, 2.5, 300)
         ys = rng.uniform(-0.5, 2.5, 300)
-        vector = shape.contains_many(xs, ys)
+        vector = shape.contains_many(Samples.of(xs, ys))
         for x, y, v in zip(xs, ys, vector):
             point = Point(float(x), float(y))
             # Skip points within a hair of the boundary, where the scalar

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Circle, Point, Ring, region_area
+from repro.geometry import Circle, Point, Ring, Samples, region_area
 
 coordinate = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -59,7 +59,7 @@ class TestContainment:
         ring = Ring(Circle(Point(0.3, -0.7), 1.5), 2.5)
         xs = np.linspace(-5, 5, 41)
         ys = np.linspace(-5, 5, 41)
-        vector = ring.contains_many(xs, ys)
+        vector = ring.contains_many(Samples.of(xs, ys))
         scalar = [ring.contains(Point(x, y)) for x, y in zip(xs, ys)]
         assert list(vector) == scalar
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import Point, Polygon
+from repro.geometry import Point, Polygon, Samples
 from repro.indoor import (
     Door,
     DoorGraph,
@@ -94,7 +94,7 @@ class TestPointDistanceField:
         rng = np.random.default_rng(11)
         xs = rng.uniform(-2, 32, 60)
         ys = rng.uniform(-2, 12, 60)
-        vector = field.distances_to_many(xs, ys)
+        vector = field.distances_to_many(Samples.of(xs, ys))
         for x, y, d in zip(xs, ys, vector):
             scalar = field.distance_to(Point(float(x), float(y)))
             if math.isinf(scalar):
@@ -104,7 +104,7 @@ class TestPointDistanceField:
 
     def test_distances_to_many_empty_batch(self, corridor_oracle):
         field = corridor_oracle.field_from(Point(5, 5))
-        assert len(field.distances_to_many(np.zeros(0), np.zeros(0))) == 0
+        assert len(field.distances_to_many(Samples.of(np.zeros(0), np.zeros(0)))) == 0
 
     def test_source_on_door_reaches_both_rooms_directly(self, corridor_oracle):
         field = corridor_oracle.field_from(Point(10, 5))
@@ -124,13 +124,6 @@ class TestRoomGroups:
             assert room_id is not None  # all interior points here
             covered.update(int(i) for i in indices)
         assert covered == set(range(50))
-
-    def test_cache_hit_by_identity(self, corridor_oracle):
-        xs = np.array([5.0, 15.0])
-        ys = np.array([5.0, 5.0])
-        first = corridor_oracle.room_groups(xs, ys)
-        second = corridor_oracle.room_groups(xs, ys)
-        assert first is second
 
     def test_single_room_fast_path(self, corridor_oracle):
         xs = np.linspace(1.0, 9.0, 10)
