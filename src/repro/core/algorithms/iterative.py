@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from ...analysis.contracts import check_flow, contracts_enabled
+from ...analysis.contracts import check_flow
 from ...geometry import Region
 from ...index import ARTree, RTree
 from ...indoor.poi import Poi
@@ -64,6 +64,7 @@ def snapshot_flows(
     t: float,
 ) -> dict[str, float]:
     """``Φ_t(p)`` for every POI with non-zero flow (Definition 2)."""
+    contracts = ctx.begin_query()
     flows: dict[str, float] = {}
     candidates = 0
     with span("candidates.snapshot"):
@@ -76,7 +77,7 @@ def snapshot_flows(
             _accumulate(
                 flows, region, ctx.snapshot_fingerprint(context), poi_tree, ctx
             )
-    if contracts_enabled():
+    if contracts:
         for poi_id, flow in flows.items():
             check_flow(flow, candidates, poi_id=poi_id)
     return flows
@@ -90,6 +91,7 @@ def interval_flows(
     t_end: float,
 ) -> dict[str, float]:
     """``Φ_[t_s, t_e](p)`` for every POI with non-zero flow."""
+    contracts = ctx.begin_query()
     flows: dict[str, float] = {}
     candidates = 0
     with span("candidates.interval"):
@@ -106,7 +108,7 @@ def interval_flows(
                 poi_tree,
                 ctx,
             )
-    if contracts_enabled():
+    if contracts:
         for poi_id, flow in flows.items():
             check_flow(flow, candidates, poi_id=poi_id)
     return flows

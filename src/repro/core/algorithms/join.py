@@ -128,12 +128,14 @@ def _topk_join(
     use_segment_mbrs: bool = False,
     rtree_fanout: int = 8,
     presence: Callable[[JoinObject, Poi], float] | None = None,
+    contracts: bool | None = None,
 ) -> TopKResult:
     """The shared best-first R_P x R_I join (Algorithms 2/5 unified).
 
     Presence is evaluated through ``presence(obj, poi)`` when given (the
     context-based entry points pass a memoizing closure); otherwise through
-    ``estimator`` directly.
+    ``estimator`` directly.  ``contracts`` is the query's resolved contract
+    mode (read from the environment when ``None``).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -185,6 +187,7 @@ def _topk_join(
             k,
             use_segment_mbrs,
             presence,
+            contracts_enabled() if contracts is None else contracts,
         )
 
     if len(confirmed) < k:
@@ -206,6 +209,7 @@ def _drain_heap(
     k: int,
     use_segment_mbrs: bool,
     presence: Callable[[JoinObject, Poi], float],
+    contracts: bool,
 ) -> list[RankedPoi]:
     """The best-first refinement loop of Algorithms 2/3/5.
 
@@ -240,7 +244,7 @@ def _drain_heap(
                     join_list, key=lambda e: e.item.order_key
                 ):
                     flow += presence(object_entry.item, poi)
-                if contracts_enabled():
+                if contracts:
                     # The count bound the queue scheduled this POI under
                     # must dominate the refined flow, or best-first order
                     # was wrong (Section 4.2's correctness argument).
@@ -300,6 +304,7 @@ def join_snapshot(
     k: int,
 ) -> TopKResult:
     """Algorithm 2: aggregate-R-tree join for the snapshot query."""
+    contracts = ctx.begin_query()
     objects: list[JoinObject] = []
     with span("candidates.snapshot"):
         for order, context in enumerate(snapshot_contexts(artree, t)):
@@ -324,6 +329,7 @@ def join_snapshot(
         k,
         rtree_fanout=ctx.rtree_fanout,
         presence=_ctx_presence(ctx),
+        contracts=contracts,
     )
 
 
@@ -347,6 +353,7 @@ def join_interval(
     ``use_segment_mbrs=False`` reproduces the unimproved variant (one
     coarse MBR per object trajectory) for ablation.
     """
+    contracts = ctx.begin_query()
     objects: list[JoinObject] = []
     with span("candidates.interval"):
         for order, context in enumerate(interval_contexts(artree, t_start, t_end)):
@@ -376,4 +383,5 @@ def join_interval(
         use_segment_mbrs=use_segment_mbrs,
         rtree_fanout=ctx.rtree_fanout,
         presence=_ctx_presence(ctx),
+        contracts=contracts,
     )

@@ -20,6 +20,11 @@ object that additionally owns two bounded LRU memo layers:
   its episode keys (interval), so identical regions share presence values
   across queries and across the iterative/join strategies.
 
+Contract mode (:mod:`repro.analysis.contracts`) is resolved once per
+query, by :meth:`EvaluationContext.begin_query` at every query entry
+point, and read from :attr:`EvaluationContext.contracts` by the memo
+layers, so the warm lookup path never consults the environment.
+
 The context also counts what the caches save: ``regions_computed``,
 ``region_cache_hits``, ``presence_evaluations``, ``presence_cache_hits``
 and ``topology_prunes`` (indoor-reachability constraints constructed).
@@ -196,6 +201,9 @@ class EvaluationContext:
         self.inner_allowance = float(inner_allowance)
         self.rtree_fanout = rtree_fanout
         self.stats = EvaluationStats()
+        #: Whether contract checks run; resolved at construction and by
+        #: :meth:`begin_query` at the start of every query.
+        self.contracts = contracts_enabled()
         self._region_cache: LruCache[object] = LruCache(region_cache_size)
         self._presence_cache: LruCache[float] = LruCache(presence_cache_size)
         # Generation counters for live ingestion (see note_append): a total
@@ -278,6 +286,18 @@ class EvaluationContext:
                 "data_generation": self.data_generation,
             },
         )
+
+    def begin_query(self) -> bool:
+        """Resolve contract mode for the query about to run.
+
+        Query entry points call this once; the memo layers then read
+        :attr:`contracts` instead of the environment on every lookup.
+
+        Returns:
+            Whether contract checks run for this query.
+        """
+        self.contracts = contracts_enabled()
+        return self.contracts
 
     # ------------------------------------------------------------------
     # Live ingestion (generation-aware cache keys)
@@ -381,7 +401,7 @@ class EvaluationContext:
             self.stats.region_cache_hits += 1
             if obs_enabled():
                 counter("ctx.region.hits", unit="regions").inc()
-            if contracts_enabled():
+            if self.contracts:
                 check_region_fingerprint(
                     _mbr_fingerprint(value),
                     _mbr_fingerprint(builder()),
@@ -497,16 +517,16 @@ class EvaluationContext:
                     value = self.estimator.presence(region, poi)
             else:
                 value = self.estimator.presence(region, poi)
-            return check_presence(
-                value, where=f"presence in POI {poi.poi_id!r}"
-            )
+            if self.contracts:
+                check_presence(value, where=f"presence in POI {poi.poi_id!r}")
+            return value
         key = (fingerprint, poi.poi_id, self.params_epoch)
         cached = self._presence_cache.get(key)
         if cached is not None:
             self.stats.presence_cache_hits += 1
             if obs_enabled():
                 counter("ctx.presence.hits", unit="evaluations").inc()
-            if contracts_enabled():
+            if self.contracts:
                 check_cached_value(
                     cached,
                     self.estimator.presence(region, poi),
@@ -521,8 +541,7 @@ class EvaluationContext:
                 fresh = self.estimator.presence(region, poi)
         else:
             fresh = self.estimator.presence(region, poi)
-        value = check_presence(
-            fresh, where=f"presence in POI {poi.poi_id!r}"
-        )
-        self._presence_cache.put(key, value)
-        return value
+        if self.contracts:
+            check_presence(fresh, where=f"presence in POI {poi.poi_id!r}")
+        self._presence_cache.put(key, fresh)
+        return fresh

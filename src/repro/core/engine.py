@@ -629,6 +629,7 @@ class FlowEngine:
             ``None`` when no detection episode makes the object
             trackable at ``t``.
         """
+        self.ctx.begin_query()
         for entry in self.artree.entries_for(object_id):
             if entry.covers(t):
                 return self.ctx.snapshot_region(snapshot_context(entry, t))
@@ -667,6 +668,7 @@ class FlowEngine:
         context = interval_context_from_entries(
             object_id, entries, t_start, t_end
         )
+        self.ctx.begin_query()
         return self.ctx.interval_uncertainty(context)
 
 

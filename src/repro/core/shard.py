@@ -46,7 +46,7 @@ from ..indoor.devices import Deployment
 from ..indoor.distance import IndoorDistanceOracle
 from ..indoor.floorplan import FloorPlan
 from ..indoor.poi import Poi, build_poi_index
-from ..analysis.contracts import check_flow, contracts_enabled
+from ..analysis.contracts import check_flow
 from ..obs import snapshot_dict, span
 from ..obs import disable as obs_disable
 from ..obs import enable as obs_enable
@@ -269,6 +269,7 @@ class ShardState:
             per-(object, POI) presence term tagged with the object's
             canonical entry key, plus the shard's candidate-object count.
         """
+        contracts = self.ctx.begin_query()
         _, poi_tree = self.resolve_pois(pois)
         with span("candidates.snapshot"):
             entries = self.artree.point_query(t)
@@ -287,7 +288,8 @@ class ShardState:
                     presence = self.ctx.presence(region, poi, fingerprint)
                     if presence > 0.0:
                         contributions.append((order_key, poi.poi_id, presence))
-        self._check_partials(contributions, len(entries))
+        if contracts:
+            self._check_partials(contributions, len(entries))
         return contributions, len(entries)
 
     def partial_interval_flows(
@@ -310,6 +312,7 @@ class ShardState:
         Returns:
             ``(contributions, candidates)`` as in :meth:`partial_flows`.
         """
+        contracts = self.ctx.begin_query()
         _, poi_tree = self.resolve_pois(pois)
         with span("candidates.interval"):
             groups: dict[ObjectId, list[Any]] = {}
@@ -342,7 +345,8 @@ class ShardState:
                     presence = self.ctx.presence(region, poi, fingerprint)
                     if presence > 0.0:
                         contributions.append((order_key, poi.poi_id, presence))
-        self._check_partials(contributions, len(groups))
+        if contracts:
+            self._check_partials(contributions, len(groups))
         return contributions, len(groups)
 
     @staticmethod
@@ -350,8 +354,6 @@ class ShardState:
         contributions: Sequence[Contribution], candidates: int
     ) -> None:
         """Contract: each partial flow obeys the count bound locally."""
-        if not contracts_enabled():
-            return
         flows: dict[str, float] = {}
         for _, poi_id, presence in contributions:
             flows[poi_id] = flows.get(poi_id, 0.0) + presence
@@ -413,6 +415,7 @@ class ShardState:
         Returns:
             ``{poi_id: bound}`` containing only POIs with positive bound.
         """
+        self.ctx.begin_query()
         _, poi_tree = self.resolve_pois(pois)
         bounds: dict[str, int] = {}
         with span("bounds.interval"):

@@ -189,6 +189,7 @@ def snapshot_presence_calibration(
     (they are trivially correct and would swamp the first bin).
     """
     pairs: list[tuple[float, bool]] = []
+    engine.ctx.begin_query()
     for t in times:
         for context in snapshot_contexts(engine.artree, t):
             # Regions and presences go through the engine's evaluation
@@ -215,6 +216,7 @@ def interval_presence_calibration(
 ) -> list[CalibrationBin]:
     """Reliability of interval presence as a visit probability."""
     pairs: list[tuple[float, bool]] = []
+    engine.ctx.begin_query()
     for t_start, t_end in windows:
         for context in interval_contexts(engine.artree, t_start, t_end):
             uncertainty = engine.ctx.interval_uncertainty(context)
